@@ -247,3 +247,75 @@ func TestSpillTimersFireInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestPriFirstPrecedesSameInstantEvents pins the reserved most-urgent key
+// under both engines: a PriFirst event runs before every other event at its
+// instant, including pri-0 events with a smaller seq, negative keys and
+// link-delivery keys, wherever the engine holds it — a wheel slot at any
+// level, the live tick a callback inserts into (the drainInsert path), or
+// the spill list beyond the wheel horizon. Among PriFirst events scheduling
+// order still decides.
+func TestPriFirstPrecedesSameInstantEvents(t *testing.T) {
+	horizon := Time(span(3)) << tickShift
+	for _, e := range []Engine{EngineWheel, EngineHeap} {
+		t.Run(e.String(), func(t *testing.T) {
+			type want []string
+			check := func(t *testing.T, got []string, w want) {
+				t.Helper()
+				if len(got) != len(w) {
+					t.Fatalf("fired %v, want %v", got, w)
+				}
+				for i := range w {
+					if got[i] != w[i] {
+						t.Fatalf("fired %v, want %v", got, w)
+					}
+				}
+			}
+
+			// Queued before the run: level 0 (50ns), a higher level that
+			// cascades (3ms) and the spill list (2x the horizon).
+			for _, at := range []Time{50, 3 * Millisecond, 2 * horizon} {
+				s := NewSchedulerEngine(e)
+				var got []string
+				rec := func(name string) func() { return func() { got = append(got, name) } }
+				s.At(at, rec("pri0-a"))
+				s.AtPri(at, 7, rec("link"))
+				s.AtPri(at, -3, rec("neg"))
+				s.At(at, rec("pri0-b"))
+				s.AtPri(at, PriFirst, rec("first-1"))
+				s.AtPri(at, PriFirst, rec("first-2"))
+				s.At(at-1, rec("before"))
+				s.Run()
+				check(t, got, want{"before", "first-1", "first-2", "neg", "pri0-a", "pri0-b", "link"})
+			}
+
+			// Inserted from inside a firing callback into the live tick:
+			// the same instant (current sub-bucket) and a later instant of
+			// the same tick (a later sub-bucket), each already holding
+			// pri-0 events with smaller seqs.
+			s := NewSchedulerEngine(e)
+			var got []string
+			rec := func(name string) func() { return func() { got = append(got, name) } }
+			s.At(100, func() {
+				got = append(got, "trigger")
+				s.AtPri(100, PriFirst, rec("first-now"))
+				s.AtPri(900, PriFirst, rec("first-later"))
+			})
+			s.At(100, rec("pri0-now"))
+			s.AtPri(100, 5, rec("link-now"))
+			s.At(900, rec("pri0-later"))
+			s.Run()
+			check(t, got, want{"trigger", "first-now", "pri0-now", "link-now", "first-later", "pri0-later"})
+
+			// Inserted from inside a callback into the spill list, next to
+			// a pri-0 event parked there before the run started.
+			s = NewSchedulerEngine(e)
+			got = nil
+			far := 3*horizon + 11
+			s.At(far, rec("pri0-far"))
+			s.At(10, func() { s.AtPri(far, PriFirst, rec("first-far")) })
+			s.Run()
+			check(t, got, want{"first-far", "pri0-far"})
+		})
+	}
+}

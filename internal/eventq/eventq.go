@@ -46,6 +46,14 @@ const (
 // MaxTime is the largest representable virtual time; used as "never".
 const MaxTime Time = math.MaxInt64
 
+// PriFirst is the reserved most-urgent same-instant key for AtPri: an event
+// carrying it runs before every other event at its instant, whatever their
+// scheduling order. Among PriFirst events, scheduling order decides as
+// usual. The simulator reserves it for workload arrivals and for events
+// scheduled while the network is built, which must run ahead of the
+// traffic of the instant they land on.
+const PriFirst int64 = math.MinInt64
+
 // Duration converts a time.Duration into simulator Time units.
 func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
@@ -270,9 +278,10 @@ func (s *Scheduler) At(at Time, fn func()) Timer {
 // AtPri is At with an explicit same-instant ordering key: events at one
 // virtual instant execute in ascending pri, and by scheduling order within
 // equal pri. Ordinary events use pri 0 (and so run before any same-instant
-// link delivery); link deliveries pass a stable per-link key so that the
-// execution order of same-instant arrivals is a function of the topology,
-// not of which scheduler shard queued them first.
+// link delivery, but after any same-instant PriFirst event); link
+// deliveries pass a stable per-link key so that the execution order of
+// same-instant arrivals is a function of the topology, not of which
+// scheduler shard queued them first.
 func (s *Scheduler) AtPri(at Time, pri int64, fn func()) Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", at, s.now))

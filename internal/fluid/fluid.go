@@ -200,14 +200,16 @@ func (e *Engine) AddLink(l *Link) {
 	e.links = append(e.links, l)
 }
 
-// Start begins ticking. The first tick fires one tick from now.
+// Start begins ticking. The first tick fires one tick from now, ahead of
+// every event at that instant scheduled after Start (it carries
+// eventq.PriFirst, and so do workload arrivals, which are queued later).
 func (e *Engine) Start() {
 	if e.running {
 		return
 	}
 	e.running = true
 	e.lastTick = e.sched.Now()
-	e.sched.After(e.tick, e.tickFn)
+	e.sched.AtPri(e.lastTick+e.tick, eventq.PriFirst, e.tickFn)
 }
 
 // Flows returns the number of flows currently under fluid control.

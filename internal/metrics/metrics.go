@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 
 	"dibs/internal/eventq"
@@ -42,12 +43,15 @@ func (c FlowClass) String() string {
 
 // FlowInfo is the collector's record of one flow.
 type FlowInfo struct {
-	ID      packet.FlowID
-	Class   FlowClass
-	Bytes   int64
-	QueryID int // -1 for non-query flows
-	Start   eventq.Time
-	End     eventq.Time // 0 while in flight
+	ID    packet.FlowID
+	Class FlowClass
+	// registered marks a flow-table slot holding a flow; IDs skipped by
+	// the caller leave zero slots behind.
+	registered bool
+	Bytes      int64
+	QueryID    int // -1 for non-query flows
+	Start      eventq.Time
+	End        eventq.Time // 0 while in flight
 }
 
 // Done reports whether the flow completed.
@@ -74,11 +78,16 @@ type queryState struct {
 type Collector struct {
 	sched *eventq.Scheduler
 
-	flows   map[packet.FlowID]*FlowInfo
+	// flows is the flow table, indexed by FlowID: the simulator assigns
+	// flow IDs densely from 0, so the per-packet drop and detour hooks find
+	// a flow's class with one bounds-checked load.
+	flows   []FlowInfo
 	queries map[int]*queryState
-	// flowBlock is the spare tail of the current FlowInfo block (see
-	// FlowStartedAt).
-	flowBlock []FlowInfo
+	// bgFlows and shortBGFlows count registered background flows, all and
+	// in the short-flow band; with the query count they size the FCT and
+	// QCT samples once, when the first flow completes.
+	bgFlows, shortBGFlows int
+	sized                 bool
 
 	// QCTs holds completed query completion times in milliseconds.
 	QCTs stats.Sample
@@ -120,7 +129,6 @@ type Collector struct {
 func NewCollector(sched *eventq.Scheduler) *Collector {
 	return &Collector{
 		sched:   sched,
-		flows:   make(map[packet.FlowID]*FlowInfo),
 		queries: make(map[int]*queryState),
 	}
 }
@@ -136,7 +144,7 @@ func (c *Collector) Hooks() *switching.Hooks {
 func (c *Collector) onDrop(node packet.NodeID, p *packet.Packet, reason switching.DropReason) {
 	c.Drops[reason]++
 	if p.Kind == packet.Data {
-		if f, ok := c.flows[p.Flow]; ok {
+		if f := c.Flow(p.Flow); f != nil {
 			c.DropsByClass[f.Class]++
 		}
 	}
@@ -144,7 +152,7 @@ func (c *Collector) onDrop(node packet.NodeID, p *packet.Packet, reason switchin
 
 func (c *Collector) onDetour(node packet.NodeID, p *packet.Packet, desired, chosen int) {
 	c.Detours++
-	if f, ok := c.flows[p.Flow]; ok {
+	if f := c.Flow(p.Flow); f != nil {
 		c.DetoursByClass[f.Class]++
 	}
 	if c.RecordTimeline {
@@ -183,37 +191,59 @@ func (c *Collector) FlowStarted(id packet.FlowID, class FlowClass, bytes int64, 
 // shard's collector before the run begins, so drop/detour class attribution
 // works in whichever shard a packet happens to be when the hook fires.
 func (c *Collector) FlowStartedAt(id packet.FlowID, class FlowClass, bytes int64, queryID int, at eventq.Time) {
-	// Carve FlowInfos from a block: one allocation per 64 flows instead of
-	// one each. Earlier pointers stay valid across refills — only the spare
-	// capacity is re-sliced away, never the handed-out prefix.
-	if len(c.flowBlock) == 0 {
-		c.flowBlock = make([]FlowInfo, 64)
+	*c.slot(id) = FlowInfo{
+		ID:         id,
+		Class:      class,
+		Bytes:      bytes,
+		QueryID:    queryID,
+		Start:      at,
+		registered: true,
 	}
-	f := &c.flowBlock[0]
-	c.flowBlock = c.flowBlock[1:]
-	*f = FlowInfo{
-		ID:      id,
-		Class:   class,
-		Bytes:   bytes,
-		QueryID: queryID,
-		Start:   at,
+	if class == ClassBackground {
+		c.bgFlows++
+		if isShortBG(bytes) {
+			c.shortBGFlows++
+		}
 	}
-	c.flows[id] = f
 }
+
+// ReserveFlows sizes the flow table for n more flows, so registering a
+// known schedule allocates it once instead of regrowing it.
+func (c *Collector) ReserveFlows(n int) { c.flows = slices.Grow(c.flows, n) }
+
+// slot returns flow id's table entry, growing the table to reach it.
+func (c *Collector) slot(id packet.FlowID) *FlowInfo {
+	for len(c.flows) <= int(id) {
+		c.flows = append(c.flows, FlowInfo{})
+	}
+	return &c.flows[id]
+}
+
+// isShortBG reports whether a background flow of this size is in the
+// paper's short-flow band (1-10KB).
+func isShortBG(bytes int64) bool { return bytes >= 1_000 && bytes <= 10_000 }
 
 // FlowDone marks a flow complete, updating FCT samples and any parent
 // query.
 func (c *Collector) FlowDone(id packet.FlowID) {
-	f, ok := c.flows[id]
-	if !ok || f.Done() {
+	f := c.Flow(id)
+	if f == nil || f.Done() {
 		return
+	}
+	if !c.sized {
+		// Every flow registered so far can complete at most once; sizing
+		// the samples for all of them saves the append regrowth.
+		c.sized = true
+		c.BGFCTs.Grow(c.bgFlows)
+		c.ShortBGFCTs.Grow(c.shortBGFlows)
+		c.QCTs.Grow(len(c.queries))
 	}
 	f.End = c.sched.Now()
 	fctMs := f.FCT().Millis()
 	switch f.Class {
 	case ClassBackground:
 		c.BGFCTs.Add(fctMs)
-		if f.Bytes >= 1_000 && f.Bytes <= 10_000 {
+		if isShortBG(f.Bytes) {
 			c.ShortBGFCTs.Add(fctMs)
 		}
 	}
@@ -246,8 +276,8 @@ func (c *Collector) QueryStartedAt(queryID, nFlows int, at eventq.Time) {
 // values (percentiles sort internally), and per-flow/per-query state is
 // keyed so exactly one shard ever contributes the completion (a flow
 // finishes at its destination host's shard; all of a query's flows share
-// one destination). Iteration is over sorted keys so the merged in-memory
-// layout is itself deterministic.
+// one destination). Flows merge in ID order and queries in sorted key
+// order, so the merged in-memory layout is itself deterministic.
 func (c *Collector) MergeFrom(o *Collector) {
 	c.QCTs.AddAll(o.QCTs.Values())
 	c.ShortBGFCTs.AddAll(o.ShortBGFCTs.Values())
@@ -269,21 +299,14 @@ func (c *Collector) MergeFrom(o *Collector) {
 	}
 	c.DetourTimeline = append(c.DetourTimeline, o.DetourTimeline...)
 
-	// Indexed fill + sort: the iteration order of the source map never
-	// reaches the merged state.
-	flowIDs := make([]packet.FlowID, len(o.flows))
-	i := 0
-	for id := range o.flows {
-		flowIDs[i] = id
-		i++
-	}
-	sortFlowIDs(flowIDs)
-	for _, id := range flowIDs {
-		of := o.flows[id]
-		f, ok := c.flows[id]
-		if !ok {
-			cp := *of
-			c.flows[id] = &cp
+	for i := range o.flows {
+		of := &o.flows[i]
+		if !of.registered {
+			continue
+		}
+		f := c.slot(of.ID)
+		if !f.registered {
+			*f = *of
 			continue
 		}
 		if of.End > f.End {
@@ -291,8 +314,10 @@ func (c *Collector) MergeFrom(o *Collector) {
 		}
 	}
 
+	// Indexed fill + sort: the iteration order of the source map never
+	// reaches the merged state.
 	queryIDs := make([]int, len(o.queries))
-	i = 0
+	i := 0
 	for id := range o.queries {
 		queryIDs[i] = id
 		i++
@@ -315,19 +340,24 @@ func (c *Collector) MergeFrom(o *Collector) {
 	}
 }
 
-func sortFlowIDs(ids []packet.FlowID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
 func sortInts(ids []int) { sort.Ints(ids) }
 
-// Flow returns the record for id (nil when unknown).
-func (c *Collector) Flow(id packet.FlowID) *FlowInfo { return c.flows[id] }
+// Flow returns the record for id (nil when unknown). The record lives in
+// the collector's flow table: the pointer is valid until the next flow is
+// registered.
+func (c *Collector) Flow(id packet.FlowID) *FlowInfo {
+	if uint64(id) >= uint64(len(c.flows)) || !c.flows[id].registered {
+		return nil
+	}
+	return &c.flows[id]
+}
 
-// EachFlow visits every registered flow (order unspecified).
+// EachFlow visits every registered flow in ID order.
 func (c *Collector) EachFlow(fn func(*FlowInfo)) {
-	for _, f := range c.flows {
-		fn(f)
+	for i := range c.flows {
+		if c.flows[i].registered {
+			fn(&c.flows[i])
+		}
 	}
 }
 
@@ -348,8 +378,8 @@ func (c *Collector) StartedQueries() int { return len(c.queries) }
 // CompletedFlows returns the number of completed flows of a class.
 func (c *Collector) CompletedFlows(class FlowClass) int {
 	n := 0
-	for _, f := range c.flows {
-		if f.Class == class && f.Done() {
+	for i := range c.flows {
+		if f := &c.flows[i]; f.registered && f.Class == class && f.Done() {
 			n++
 		}
 	}

@@ -109,16 +109,27 @@ func TestHookCounters(t *testing.T) {
 	h.OnDrop(5, bp, switching.DropOverflow)
 	h.OnDetour(5, dp, 0, 1)
 	h.OnDetour(6, dp, 0, 2)
-	if c.TotalDrops() != 2 || c.Drops[switching.DropOverflow] != 2 {
+	// Unregistered flows count in the totals but in no class: flow 0 is
+	// the gap the registrations above left in the flow table, flow 99 lies
+	// beyond it.
+	for _, id := range []packet.FlowID{0, 99} {
+		up := &packet.Packet{Kind: packet.Data, Flow: id}
+		h.OnDrop(5, up, switching.DropOverflow)
+		h.OnDetour(5, up, 0, 1)
+	}
+	if c.Flow(0) != nil || c.Flow(99) != nil {
+		t.Fatal("unregistered flow has a record")
+	}
+	if c.TotalDrops() != 4 || c.Drops[switching.DropOverflow] != 4 {
 		t.Fatal("drop counters")
 	}
 	if c.DropsByClass[ClassQuery] != 1 || c.DropsByClass[ClassBackground] != 1 {
 		t.Fatal("per-class drops")
 	}
-	if c.Detours != 2 || c.DetoursByClass[ClassQuery] != 2 {
+	if c.Detours != 4 || c.DetoursByClass[ClassQuery] != 2 || c.DetoursByClass[ClassBackground] != 0 {
 		t.Fatal("detour counters")
 	}
-	if len(c.DetourTimeline) != 2 || c.DetourTimeline[1].Switch != 6 {
+	if len(c.DetourTimeline) != 4 || c.DetourTimeline[1].Switch != 6 {
 		t.Fatalf("timeline = %v", c.DetourTimeline)
 	}
 }
@@ -256,5 +267,35 @@ func TestFlowClassString(t *testing.T) {
 	if ClassQuery.String() != "query" || ClassBackground.String() != "background" ||
 		ClassLong.String() != "long" || FlowClass(9).String() != "unknown" {
 		t.Fatal("class strings")
+	}
+}
+
+// TestMergeFromFlowTable pins the flow-table reduction: records only one
+// side holds are copied, a completion from either side wins, and IDs
+// neither side registered stay unregistered.
+func TestMergeFromFlowTable(t *testing.T) {
+	sched := eventq.NewScheduler()
+	a, b := NewCollector(sched), NewCollector(sched)
+	a.FlowStarted(1, ClassBackground, 5_000, -1)
+	b.FlowStarted(1, ClassBackground, 5_000, -1)
+	b.FlowStarted(3, ClassQuery, 20_000, -1)
+	sched.At(2*eventq.Millisecond, func() { b.FlowDone(1) })
+	sched.Run()
+	m := NewCollector(sched)
+	m.MergeFrom(a)
+	m.MergeFrom(b)
+	if f := m.Flow(1); f == nil || f.End != 2*eventq.Millisecond {
+		t.Fatalf("flow 1 = %+v, want completed at 2ms", f)
+	}
+	if f := m.Flow(3); f == nil || f.Class != ClassQuery || f.Done() {
+		t.Fatalf("flow 3 = %+v, want an unfinished query flow", f)
+	}
+	var ids []packet.FlowID
+	m.EachFlow(func(f *FlowInfo) { ids = append(ids, f.ID) })
+	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
+		t.Fatalf("merged flows = %v, want [1 3]", ids)
+	}
+	if m.CompletedFlows(ClassBackground) != 1 || m.BGFCTs.N() != 1 {
+		t.Fatalf("merged completions: %d flows, %d FCTs", m.CompletedFlows(ClassBackground), m.BGFCTs.N())
 	}
 }

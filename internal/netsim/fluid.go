@@ -76,9 +76,6 @@ type fluidState struct {
 
 	links [][]*fluid.Link
 	cands []*fluidCand
-	// pendingRcv passes each flow's receiver from its creation event to
-	// the sender's (the receiver event runs first; see installFlow).
-	pendingRcv map[packet.FlowID]*transport.Receiver
 
 	demotions uint64
 }
@@ -89,10 +86,9 @@ type fluidState struct {
 func (n *Network) buildFluid() {
 	cfg := &n.Cfg
 	fs := &fluidState{
-		n:          n,
-		eng:        fluid.NewEngine(n.Sched, cfg.fluidTick()),
-		links:      make([][]*fluid.Link, n.Topo.NumNodes()),
-		pendingRcv: make(map[packet.FlowID]*transport.Receiver),
+		n:     n,
+		eng:   fluid.NewEngine(n.Sched, cfg.fluidTick()),
+		links: make([][]*fluid.Link, n.Topo.NumNodes()),
 	}
 	// The standing queue a long packet flow would keep at a bottleneck.
 	// DCTCP's instantaneous-threshold sawtooth oscillates between drain

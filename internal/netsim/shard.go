@@ -116,87 +116,137 @@ func (n *Network) Executed() uint64 {
 }
 
 // installSchedule pre-registers the recorded workload with every shard's
-// collector and schedules the creation of each flow's endpoints. Flow and
-// query tables go to every collector eagerly: a packet may be dropped or
-// detoured in any shard along its path, and class attribution must work
-// wherever the hook fires. Completion state stays exclusive — only the
-// destination shard's collector ever marks a flow done — so the merge
-// cannot double-count.
+// collector and arms one replay cursor per shard. Flow and query tables go
+// to every collector eagerly: a packet may be dropped or detoured in any
+// shard along its path, and class attribution must work wherever the hook
+// fires. Completion state stays exclusive — only the destination shard's
+// collector ever marks a flow done — so the merge cannot double-count.
+//
+// Endpoint creation is lazy: each shard holds exactly one pending replay
+// event (see replayCursor), so the event queue grows with the flows in
+// flight, not with the length of the schedule.
 func (n *Network) installSchedule(s *flowSchedule) {
+	for i := range s.flows {
+		f := &s.flows[i]
+		if f.src == f.dst {
+			panic("netsim: flow to self")
+		}
+		if n.HostsByID[f.src] == nil || n.HostsByID[f.dst] == nil {
+			panic(fmt.Sprintf("netsim: flow endpoints %d->%d are not hosts", f.src, f.dst))
+		}
+	}
 	tc := n.transportConfig()
 	for _, sh := range n.shards {
 		for _, q := range s.queries {
 			sh.coll.QueryStartedAt(q.id, q.nFlows, q.at)
 		}
+		sh.coll.ReserveFlows(len(s.flows))
 		for _, f := range s.flows {
 			sh.coll.FlowStartedAt(f.id, f.class, f.bytes, f.queryID, f.at)
 		}
-	}
-	for i := range s.flows {
-		n.installFlow(&s.flows[i], tc)
+		c := &replayCursor{n: n, sh: sh, flows: s.flows, tc: tc}
+		c.fire = c.step
+		c.next()
 	}
 }
 
-// installFlow schedules the creation of one recorded flow's endpoints: the
-// receiver on the destination's shard, then the sender on the source's.
-// Both events carry pri 0 at the flow's start time; installing the receiver
-// first gives it the smaller sequence number, so in a shared shard it
-// exists before the sender's first segment can possibly matter.
-func (n *Network) installFlow(f *flowStart, tc transport.Config) {
-	if f.src == f.dst {
-		panic("netsim: flow to self")
-	}
-	srcHost := n.HostsByID[f.src]
-	dstHost := n.HostsByID[f.dst]
-	if srcHost == nil || dstHost == nil {
-		panic(fmt.Sprintf("netsim: flow endpoints %d->%d are not hosts", f.src, f.dst))
-	}
-	ss := n.shards[n.part[f.src]]
-	ds := n.shards[n.part[f.dst]]
+// replayCursor replays the recorded schedule on one shard. It walks the
+// flows in schedule order and stops at each flow half its shard owns: the
+// receiver half when the flow's destination lives there, the sender half
+// when its source does. Each half is one event at the flow's start time
+// carrying eventq.PriFirst, so an arrival runs ahead of every packet,
+// timer and delivery event of its instant. Because the cursor schedules
+// half k+1 only when half k fires, halves of one instant still run in
+// schedule order (receiver before sender, flow by flow), and the shard's
+// event count is the same as if every half had been queued up front.
+type replayCursor struct {
+	n     *Network
+	sh    *shardCtx
+	flows []flowStart
+	tc    transport.Config
+	// i is the next flow to visit; sender reports whether its receiver
+	// half is already behind the cursor.
+	i      int
+	sender bool
+	// rcv hands the receiver of flow i, when this shard created it, to
+	// the flow's sender half. Fluid modes need it and run on one shard,
+	// where the sender half is always the very next replay event.
+	rcv *transport.Receiver
+	// fire is step bound once, so re-arming the cursor allocates nothing.
+	fire func()
+}
 
-	ds.sched.At(f.at, func() {
-		rcv := transport.NewReceiver(transport.Env{Sched: ds.sched, Pool: ds.pool, Emit: dstHost.SendFn()},
-			tc, f.id, f.dst, f.bytes)
-		rcv.OnComplete = func() {
-			ds.coll.FlowDone(f.id)
-			dstHost.RemoveReceiver(f.id)
-			if n.Trace != nil {
-				n.Trace.Record(trace.Event{
-					T: ds.sched.Now(), Kind: trace.KindFlowDone, Node: f.dst,
-					Flow: f.id, Seq: -1,
-				})
-			}
+// next advances to the next half this shard owns and schedules it; past
+// the last flow the cursor stops scheduling.
+func (c *replayCursor) next() {
+	for ; c.i < len(c.flows); c.i, c.sender, c.rcv = c.i+1, false, nil {
+		f := &c.flows[c.i]
+		if !c.sender && c.n.part[f.dst] == c.sh.id {
+			c.sh.sched.AtPri(f.at, eventq.PriFirst, c.fire)
+			return
 		}
-		dstHost.AddReceiver(rcv)
-		if f.class == metrics.ClassLong {
-			ds.longRx = append(ds.longRx, rcv)
+		if c.n.part[f.src] == c.sh.id {
+			c.sender = true
+			c.sh.sched.AtPri(f.at, eventq.PriFirst, c.fire)
+			return
 		}
-		if n.fluid != nil {
-			// Fluid modes run on one shard; the receiver event precedes
-			// the sender's at the same instant, so the hand-off below is
-			// always populated when the sender registers.
-			n.fluid.pendingRcv[f.id] = rcv
-		}
-	})
-	ss.sched.At(f.at, func() {
-		snd := transport.NewSender(transport.Env{Sched: ss.sched, Pool: ss.pool, Emit: srcHost.SendFn()},
-			tc, f.id, f.src, f.dst, f.bytes)
-		snd.OnComplete = func() { srcHost.RemoveSender(f.id) }
-		srcHost.AddSender(snd)
-		ss.senders = append(ss.senders, snd)
+	}
+}
+
+// step runs the half the cursor stands on and schedules the next one.
+func (c *replayCursor) step() {
+	f := &c.flows[c.i]
+	if c.sender {
+		c.n.startSender(c.sh, f, c.tc, c.rcv)
+		c.i, c.sender, c.rcv = c.i+1, false, nil
+	} else {
+		c.rcv = c.n.startReceiver(c.sh, f, c.tc)
+		c.sender = true
+	}
+	c.next()
+}
+
+// startReceiver creates flow f's receiver on its destination host, which
+// lives in shard ds.
+func (n *Network) startReceiver(ds *shardCtx, f *flowStart, tc transport.Config) *transport.Receiver {
+	dstHost := n.HostsByID[f.dst]
+	rcv := transport.NewReceiver(transport.Env{Sched: ds.sched, Pool: ds.pool, Emit: dstHost.SendFn()},
+		tc, f.id, f.dst, f.bytes)
+	rcv.OnComplete = func() {
+		ds.coll.FlowDone(f.id)
+		dstHost.RemoveReceiver(f.id)
 		if n.Trace != nil {
 			n.Trace.Record(trace.Event{
-				T: ss.sched.Now(), Kind: trace.KindFlowStart, Node: f.src,
-				Flow: f.id, Seq: -1, Detail: fmt.Sprintf("%s %dB -> %d", f.class, f.bytes, f.dst),
+				T: ds.sched.Now(), Kind: trace.KindFlowDone, Node: f.dst,
+				Flow: f.id, Seq: -1,
 			})
 		}
-		if n.fluid != nil {
-			rcv := n.fluid.pendingRcv[f.id]
-			delete(n.fluid.pendingRcv, f.id)
-			if n.fluid.registerFlow(snd, rcv) {
-				return
-			}
-		}
-		snd.Start()
-	})
+	}
+	dstHost.AddReceiver(rcv)
+	if f.class == metrics.ClassLong {
+		ds.longRx = append(ds.longRx, rcv)
+	}
+	return rcv
+}
+
+// startSender creates flow f's sender on its source host, which lives in
+// shard ss, and starts it — or, in fluid modes, offers it together with
+// its receiver rcv to the rate model first.
+func (n *Network) startSender(ss *shardCtx, f *flowStart, tc transport.Config, rcv *transport.Receiver) {
+	srcHost := n.HostsByID[f.src]
+	snd := transport.NewSender(transport.Env{Sched: ss.sched, Pool: ss.pool, Emit: srcHost.SendFn()},
+		tc, f.id, f.src, f.dst, f.bytes)
+	snd.OnComplete = func() { srcHost.RemoveSender(f.id) }
+	srcHost.AddSender(snd)
+	ss.senders = append(ss.senders, snd)
+	if n.Trace != nil {
+		n.Trace.Record(trace.Event{
+			T: ss.sched.Now(), Kind: trace.KindFlowStart, Node: f.src,
+			Flow: f.id, Seq: -1, Detail: fmt.Sprintf("%s %dB -> %d", f.class, f.bytes, f.dst),
+		})
+	}
+	if n.fluid != nil && n.fluid.registerFlow(snd, rcv) {
+		return
+	}
+	snd.Start()
 }

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -27,6 +28,9 @@ func (s *Sample) AddAll(vs []float64) {
 	s.vals = append(s.vals, vs...)
 	s.sorted = false
 }
+
+// Grow makes room for n more observations without regrowing.
+func (s *Sample) Grow(n int) { s.vals = slices.Grow(s.vals, n) }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.vals) }

@@ -52,6 +52,14 @@ else
     go test ./...
 fi
 
+# Named so a future -short guard can never silently retire it: seeded runs
+# byte-identical under both scheduler engines, the reserved same-instant key
+# running first in both engines, and the workload replay's same-instant
+# order and one-pending-event bound.
+step "determinism regression, both scheduler engines"
+go test -count=1 -run 'TestPriFirstPrecedesSameInstantEvents' ./internal/eventq
+go test -count=1 -run 'TestSeededRunsAreByteIdentical|TestEnginesProduceIdenticalRuns|TestReplayAtFluidTickKeepsTickFirst|TestReplayArrivalsPrecedeLaterTicks|TestReplayQueuesOneEventPerShard' ./internal/netsim
+
 # The hybrid mode's two acceptance properties run by name even in SHORT
 # mode, so a future -short guard on them can never silently retire the
 # gate: byte-identical hybrid runs, and fluid-path FCT percentiles within
